@@ -10,6 +10,7 @@
 // DP for RoundRobin). The paper reports the simulated curves only; the
 // exact column is this repo's validation of them (§4.3).
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 
@@ -34,7 +35,8 @@ int BenchMain(wt::bench::BenchContext& ctx) {
       "E1 / Figure 1: P(>=1 of 10,000 users unavailable) vs node failures\n"
       "quorum-based protocol (majority of n replicas required)\n\n");
 
-  auto run = bench::RunScenarioQuery("fig1_unavailability");
+  const int workers = std::max(1, obs::DetectedHardwareThreads());
+  auto run = bench::RunScenarioQuery("fig1_unavailability", workers);
   if (!run.ok()) {
     std::fprintf(stderr, "scenario failed: %s\n",
                  run.status().ToString().c_str());
@@ -74,6 +76,7 @@ int BenchMain(wt::bench::BenchContext& ctx) {
   wt::bench::BenchEntry e;
   e.name = "fig1_full_sweep";
   e.wall_seconds = seconds;
+  e.num_workers = workers;
   // Closed-form Monte-Carlo path: no DES events. v1 published trials/sec
   // under "events_per_sec"; schema v2 gives trials their own field.
   e.events_per_sec = 0.0;

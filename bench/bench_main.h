@@ -22,6 +22,7 @@
 #ifndef WT_BENCH_BENCH_MAIN_H_
 #define WT_BENCH_BENCH_MAIN_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -58,9 +59,11 @@ struct ScenarioRun {
 
 /// Loads scenario `ref` (corpus name or path), boots a WindTunnel with
 /// the scenario's seed/replications and the built-in simulations, and
-/// executes the compiled query.
+/// executes the compiled query. Sweeps use every hardware thread by
+/// default; results are byte-identical for any worker count.
 [[nodiscard]] inline Result<ScenarioRun> RunScenarioQuery(
-    const std::string& ref, int num_workers = 1) {
+    const std::string& ref,
+    int num_workers = std::max(1, obs::DetectedHardwareThreads())) {
   WT_ASSIGN_OR_RETURN(const std::string path,
                       scenario::FindScenarioPath(ref));
   WT_ASSIGN_OR_RETURN(scenario::ScenarioSpec spec,

@@ -121,15 +121,20 @@ Result<ServeReply> Server::ServeSpec(const QuerySpec& spec) {
   CacheOutcome outcome = CacheOutcome::kHit;
   const CachedSweep* entry = cache_.Lookup(key);
   if (entry == nullptr) {
+    bool swept = false;
     AdmissionQueue::Outcome adm =
         admission_.RunOrJoin(key, [&]() -> Status {
           // Double-check under single-flight: a flight that queued behind
-          // an identical one finds the entry and costs only this lookup.
+          // an identical one, or started just after it finished, finds the
+          // entry and costs only this lookup — a hit, not a second miss.
           if (cache_.Lookup(key) != nullptr) return Status::OK();
+          swept = true;
           return ColdSweep(key, config_hash, space, fn, spec);
         });
     WT_RETURN_IF_ERROR(adm.status);
-    outcome = adm.joined ? CacheOutcome::kJoin : CacheOutcome::kMiss;
+    outcome = adm.joined ? CacheOutcome::kJoin
+              : swept    ? CacheOutcome::kMiss
+                         : CacheOutcome::kHit;
     entry = cache_.Lookup(key);
     if (entry == nullptr) {
       return Status::Internal("sweep completed but cache entry is missing");

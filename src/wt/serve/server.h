@@ -58,7 +58,7 @@ struct ServerOptions {
 
 /// How a request was satisfied.
 enum class CacheOutcome {
-  kHit,   // answered from the SweepCache, no admission taken
+  kHit,   // answered from the SweepCache, no sweep run
   kMiss,  // this request ran the sweep (single-flight leader)
   kJoin,  // waited on an identical in-flight sweep, shared its result
 };

@@ -1,7 +1,9 @@
 // StorageService: the replicated storage layer the paper's Figure 1 and the
 // availability experiments simulate. It combines a redundancy scheme and a
 // placement policy into a concrete fragment map (object -> nodes), and
-// answers availability queries against a node-liveness vector.
+// answers per-object availability queries against a node-liveness vector.
+// (The static Figure 1 estimator counts whole failure sets on its own
+// node-major layout; see wt/soft/availability_static.h.)
 //
 // The fragment map is mutable: the RepairManager moves fragments when nodes
 // fail (re-replication), which is exactly the software design axis the
@@ -70,20 +72,6 @@ class StorageService {
   bool Available(ObjectId o, const std::vector<bool>& node_up) const {
     return scheme_->Available(UpFragments(o, node_up));
   }
-
-  /// Number of unavailable objects under the given liveness vector.
-  int64_t CountUnavailable(const std::vector<bool>& node_up) const;
-
-  /// Early-exit check used by Monte-Carlo trials: true iff at least one
-  /// object is unavailable.
-  bool AnyUnavailable(const std::vector<bool>& node_up) const;
-
-  /// True iff at least one object lost its data entirely (scheme
-  /// durability rule, e.g. zero live replicas).
-  bool AnyNotDurable(const std::vector<bool>& node_up) const;
-
-  /// Number of objects whose data is gone under the liveness vector.
-  int64_t CountNotDurable(const std::vector<bool>& node_up) const;
 
   /// --- mutation API for the repair manager ---
 

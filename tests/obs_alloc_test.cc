@@ -18,6 +18,7 @@
 #include "wt/obs/trace.h"
 #include "wt/sim/simulator.h"
 #include "wt/sim/time.h"
+#include "wt/soft/availability_static.h"
 
 // Sanitizers interpose the global allocator themselves; replacing operator
 // new under ASan/TSan would bypass their bookkeeping. The functional parts
@@ -142,6 +143,27 @@ TEST(ObsAllocTest, DisabledMacrosAndHelpersAreAllocationFree) {
   int64_t after = AllocCount();
   EXPECT_EQ(after - before, 0)
       << "disabled obs sites allocated " << (after - before) << " times";
+}
+
+TEST(ObsAllocTest, DisabledStaticMonteCarloAllocatesNothingPerSample) {
+  if (!kCounting) GTEST_SKIP() << "allocator counting disabled (sanitizer)";
+  ASSERT_FALSE(obs::MetricsEnabled());
+  // The estimator's per-sample counters and the kernel's placement and
+  // trial loops reuse their buffers, so its allocations do not grow with
+  // the number of placement samples or trials.
+  const auto allocs = [](int samples, int trials) {
+    ReplicationScheme scheme = ReplicationScheme::Majority(3);
+    RandomPlacement placement;
+    StaticAvailabilityConfig cfg;
+    cfg.num_nodes = 30;
+    cfg.num_users = 1000;
+    cfg.placement_samples = samples;
+    cfg.trials_per_placement = trials;
+    const int64_t before = AllocCount();
+    EstimateStaticUnavailability(scheme, placement, cfg, 4);
+    return AllocCount() - before;
+  };
+  EXPECT_EQ(allocs(1, 10), allocs(8, 200));
 }
 
 TEST(ObsAllocTest, EnabledRegistrationAllocatesExactlyAsExpected) {

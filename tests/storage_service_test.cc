@@ -5,6 +5,7 @@
 
 #include <memory>
 
+#include "wt/soft/availability_static.h"
 #include "wt/soft/storage_service.h"
 
 namespace wt {
@@ -47,17 +48,16 @@ TEST(StorageServiceTest, PerNodeIndexIsConsistent) {
 }
 
 TEST(StorageServiceTest, AvailabilityUnderFailures) {
-  StorageService svc = MakeService(100, 10, 3, "round_robin");
-  std::vector<bool> up(10, true);
-  EXPECT_EQ(svc.CountUnavailable(up), 0);
-  EXPECT_FALSE(svc.AnyUnavailable(up));
+  // The static estimator's per-trial count over the same 100-object layout.
+  NodeMajorKernel kernel(ReplicationScheme::Majority(3), 10, 100);
+  RngStream rng(1);
+  kernel.Build(RoundRobinPlacement(), rng);
+  EXPECT_EQ(kernel.Evaluate({}).unavailable, 0);
 
   // Fail nodes 0 and 1: objects with windows {9,0,1}, {0,1,2} lose quorum
   // (2 of 3 replicas). Windows {8,9,0} and {1,2,3} keep 2 live replicas.
-  up[0] = false;
-  up[1] = false;
-  EXPECT_TRUE(svc.AnyUnavailable(up));
-  EXPECT_EQ(svc.CountUnavailable(up), 20);  // 2 window starts x 10 objects
+  const std::vector<NodeIndex> down = {0, 1};
+  EXPECT_EQ(kernel.Evaluate(down).unavailable, 20);  // 2 starts x 10 objects
 }
 
 TEST(StorageServiceTest, UpFragmentsCountsLiveOnly) {
