@@ -8,10 +8,10 @@
 //   {
 //     "bench": "e11",
 //     "commit": "<git short hash or 'unknown'>",
-//     "schema_version": 2,
-//     "host": {"compiler": "gcc 12.2.0", "build_type": "Release",
-//              "cpu_model": "...", "hardware_threads": 16,
-//              "hostname": "..."},
+//     "schema_version": 3,
+//     "host": {"seed": 0, ..., "compiler": "gcc 12.2.0",
+//              "build_type": "Release", "cpu_model": "...",
+//              "hardware_threads": 16, "hostname": "...", ...},
 //     "warnings": ["..."],
 //     "entries": [
 //       {"name": "hold_model_16k", "wall_seconds": 1.23,
@@ -39,10 +39,14 @@
 //        per second), introduced with the E13 serving bench. Entries that
 //        are not request-shaped simply omit them.
 //
-// The "host" block comes from wt::obs::RunManifest (wt/obs/manifest.h), so
-// a trajectory point records the toolchain and machine that produced it —
-// cross-machine comparisons of absolute events/sec are meaningless without
-// it.
+// The "host" block is the whole wt::obs::RunManifest as ManifestToJson
+// renders it (wt/obs/manifest.h), so a trajectory point records the
+// toolchain and machine that produced it — cross-machine comparisons of
+// absolute events/sec are meaningless without it. Every other string
+// (bench and entry names, commit, warnings) goes through wt::json::Quote,
+// so a host name, CPU model or warning holding quotes, backslashes or
+// control characters still yields strict JSON that wt::json::ParseJson
+// reads back.
 //
 // Committed BENCH_*.json files at the repo root seed the trajectory: every
 // future perf PR re-runs the bench and compares events_per_sec against the
@@ -61,6 +65,7 @@
 #include <string>
 #include <vector>
 
+#include "wt/common/json.h"
 #include "wt/obs/manifest.h"
 
 namespace wt {
@@ -91,8 +96,6 @@ struct BenchEntry {
   double qps = 0.0;
 };
 
-inline std::string BenchCommit() { return obs::GitCommitOrUnknown(); }
-
 /// Writes BENCH_<bench_name>.json; returns the path written (empty on
 /// failure — benches report but never fail on a read-only filesystem).
 /// An oversubscription warning (num_workers > hardware threads) is added
@@ -106,11 +109,7 @@ inline std::string WriteBenchJson(const std::string& bench_name,
   FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return "";
   // Host/toolchain provenance: absolute numbers only compare within one
-  // (machine, toolchain) pair. Manifest strings contain no characters that
-  // need JSON escaping beyond what ManifestToJson-style escaping covers;
-  // they come from compiler macros, /proc/cpuinfo and gethostname, so plain
-  // %s is fine for this append-only report. Warnings are generated below
-  // from the same sources.
+  // (machine, toolchain) pair.
   const obs::RunManifest host = obs::CollectRunManifest(0, "");
   int max_workers = 0;
   for (const BenchEntry& e : entries) {
@@ -125,20 +124,15 @@ inline std::string WriteBenchJson(const std::string& bench_name,
                   max_workers, host.hardware_threads);
     warnings.emplace_back(buf);
   }
-  std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"commit\": \"%s\",\n",
-               bench_name.c_str(), BenchCommit().c_str());
+  std::fprintf(f, "{\n  \"bench\": %s,\n  \"commit\": %s,\n",
+               json::Quote(bench_name).c_str(),
+               json::Quote(host.git_commit).c_str());
   std::fprintf(f, "  \"schema_version\": 3,\n");
-  std::fprintf(f,
-               "  \"host\": {\"compiler\": \"%s\", \"build_type\": \"%s\", "
-               "\"cpu_model\": \"%s\", \"hardware_threads\": %d, "
-               "\"hostname\": \"%s\"},\n",
-               host.compiler.c_str(), host.build_type.c_str(),
-               host.cpu_model.c_str(), host.hardware_threads,
-               host.hostname.c_str());
+  std::fprintf(f, "  \"host\": %s,\n", obs::ManifestToJson(host, 2).c_str());
   if (!warnings.empty()) {
     std::fprintf(f, "  \"warnings\": [\n");
     for (size_t i = 0; i < warnings.size(); ++i) {
-      std::fprintf(f, "    \"%s\"%s\n", warnings[i].c_str(),
+      std::fprintf(f, "    %s%s\n", json::Quote(warnings[i]).c_str(),
                    i + 1 < warnings.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n");
@@ -147,9 +141,10 @@ inline std::string WriteBenchJson(const std::string& bench_name,
   for (size_t i = 0; i < entries.size(); ++i) {
     const BenchEntry& e = entries[i];
     std::fprintf(f,
-                 "    {\"name\": \"%s\", \"wall_seconds\": %.6f, "
+                 "    {\"name\": %s, \"wall_seconds\": %.6f, "
                  "\"events_per_sec\": %.1f",
-                 e.name.c_str(), e.wall_seconds, e.events_per_sec);
+                 json::Quote(e.name).c_str(), e.wall_seconds,
+                 e.events_per_sec);
     if (e.points_per_sec > 0.0) {
       std::fprintf(f, ", \"points_per_sec\": %.1f", e.points_per_sec);
     }

@@ -127,31 +127,34 @@ bool JsonValue::Insert(const std::string& key, JsonValue v) {
   return true;
 }
 
-namespace {
-
-void AppendEscaped(const std::string& s, std::string* out) {
-  out->push_back('"');
+std::string Quote(std::string_view s) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  out.push_back('"');
   for (char c : s) {
     switch (c) {
-      case '"':  out->append("\\\""); break;
-      case '\\': out->append("\\\\"); break;
-      case '\b': out->append("\\b"); break;
-      case '\f': out->append("\\f"); break;
-      case '\n': out->append("\\n"); break;
-      case '\r': out->append("\\r"); break;
-      case '\t': out->append("\\t"); break;
+      case '"':  out.append("\\\""); break;
+      case '\\': out.append("\\\\"); break;
+      case '\b': out.append("\\b"); break;
+      case '\f': out.append("\\f"); break;
+      case '\n': out.append("\\n"); break;
+      case '\r': out.append("\\r"); break;
+      case '\t': out.append("\\t"); break;
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
           char buf[8];
           std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out->append(buf);
+          out.append(buf);
         } else {
-          out->push_back(c);
+          out.push_back(c);
         }
     }
   }
-  out->push_back('"');
+  out.push_back('"');
+  return out;
 }
+
+namespace {
 
 void AppendNumber(double d, std::string* out) {
   // Shortest representation that round-trips (to_chars general form).
@@ -179,7 +182,7 @@ void SerializeTo(const JsonValue& v, std::string* out) {
       }
       break;
     case JsonKind::kString:
-      AppendEscaped(v.AsString(), out);
+      out->append(Quote(v.AsString()));
       break;
     case JsonKind::kArray: {
       out->push_back('[');
@@ -196,7 +199,7 @@ void SerializeTo(const JsonValue& v, std::string* out) {
       for (const std::string& key : v.ObjectKeys()) {
         if (!first) out->push_back(',');
         first = false;
-        AppendEscaped(key, out);
+        out->append(Quote(key));
         out->push_back(':');
         SerializeTo(*v.Find(key), out);
       }

@@ -1,12 +1,13 @@
-// Strict JSON reader (DESIGN.md §9).
+// The project's one JSON reader and string writer (DESIGN.md §9).
 //
-// The tree has long had JSON *writers* (trace/metrics exporters, bench
-// json) and a syntax-only checker (wt::obs::ValidateJson), but nothing
-// that reads JSON back. Scenario files (scenarios/*.json) made a reader
-// necessary; this is the project's ONE such parser — wtlint's
-// scenario/single-parser rule keeps ad-hoc parsers from sprouting
-// elsewhere. It is a strict RFC 8259 recursive-descent parser building a
-// small DOM:
+// ParseJson is the only JSON parser in the tree: scenario files
+// (scenarios/*.json) are read with it, and tests and wtlint read every
+// emitted trace, metrics snapshot, manifest and lint report back through
+// it. wtlint's scenario/single-parser rule keeps ad-hoc parsers from
+// sprouting elsewhere. Quote is the only JSON string escaper: every
+// emitter (obs exporters, bench json, wtlint --json) quotes its strings
+// with it, so whatever one writes the other reads back. The parser is a
+// strict RFC 8259 recursive-descent parser building a small DOM:
 //
 //  * strict: no comments, no trailing commas, no unquoted keys, exactly
 //    one top-level value; errors carry line:column of the first violation;
@@ -113,6 +114,11 @@ class JsonValue {
   std::vector<std::string> keys_;
   std::map<std::string, JsonValue> obj_;
 };
+
+/// `s` as a quoted JSON string literal: `"` and `\` are backslash-escaped,
+/// \b \f \n \r \t use their short forms, other bytes below 0x20 become
+/// \u00XX, and every other byte (UTF-8 included) is copied through.
+std::string Quote(std::string_view s);
 
 /// Parses exactly one JSON value (plus surrounding whitespace).
 /// Errors are Status::ParseError with "line:col: message".

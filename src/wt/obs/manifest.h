@@ -59,7 +59,7 @@ int DetectedHardwareThreads();
 /// per-run fields. Cheap after the first call in a process.
 RunManifest CollectRunManifest(uint64_t seed, std::string config_hash);
 
-/// JSON object rendering (used by bench_json.h and metrics exports).
+/// JSON object rendering; bench_json.h writes it as the BENCH "host" block.
 std::string ManifestToJson(const RunManifest& m, int indent = 0);
 
 /// Persists `m` as a two-column (key:string, value:string) table named

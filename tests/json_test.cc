@@ -1,5 +1,6 @@
-// Tests for the strict JSON reader (wt/common/json.h): RFC 8259
-// acceptance, strictness rejections, DOM accessors, and the
+// Tests for the strict JSON reader and string writer (wt/common/json.h):
+// RFC 8259 acceptance, strictness rejections, DOM accessors, the
+// Quote -> ParseJson round trip every emitter relies on, and the
 // Parse(Serialize(v)) == v round trip that scenario hashing relies on.
 
 #include "wt/common/json.h"
@@ -157,6 +158,26 @@ TEST(JsonReader, SerializeRoundTrips) {
   }
   // Key order survives the round trip.
   EXPECT_EQ(P(R"({"z": 1, "a": 2})")->Serialize(), R"({"z":1,"a":2})");
+}
+
+TEST(JsonQuote, EveryAsciiByteRoundTrips) {
+  for (int b = 0; b <= 0x7f; ++b) {
+    const std::string s(1, static_cast<char>(b));
+    const std::string quoted = Quote(s);
+    auto parsed = P(quoted);
+    ASSERT_TRUE(parsed.ok()) << "byte " << b << ": " << quoted;
+    EXPECT_EQ(parsed->AsString(), s) << "byte " << b;
+  }
+  EXPECT_EQ(Quote("a\"b\\c\n\x01"), R"("a\"b\\c\n\u0001")");
+}
+
+TEST(JsonQuote, Utf8PassesThroughUnchanged) {
+  // Two-, three- and four-byte sequences.
+  const std::string s = "caf\xc3\xa9 \xe6\xb0\xb4 \xf0\x9f\x8c\xac";
+  EXPECT_EQ(Quote(s), "\"" + s + "\"");
+  auto parsed = P(Quote(s));
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(parsed->AsString(), s);
 }
 
 TEST(JsonValueBuilder, BuildsDocuments) {

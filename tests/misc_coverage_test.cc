@@ -1,11 +1,10 @@
-// Coverage for small utilities not exercised elsewhere: logging levels,
-// enum-to-string helpers, and a few API edge cases.
+// Coverage for small utilities not exercised elsewhere: enum-to-string
+// helpers and a few API edge cases.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "wt/common/logging.h"
 #include "wt/core/early_abort.h"
 #include "wt/core/orchestrator.h"
 #include "wt/hw/network.h"
@@ -14,19 +13,6 @@
 
 namespace wt {
 namespace {
-
-TEST(LoggingTest, LevelGate) {
-  LogLevel old_level = GetLogLevel();
-  SetLogLevel(LogLevel::kError);
-  EXPECT_EQ(GetLogLevel(), LogLevel::kError);
-  // Below-threshold messages are swallowed; above-threshold ones emit.
-  // (No crash and state restored is the observable contract here.)
-  WT_LOG(Info) << "suppressed";
-  WT_LOG(Error) << "emitted to stderr";
-  SetLogLevel(LogLevel::kOff);
-  WT_LOG(Error) << "also suppressed";
-  SetLogLevel(old_level);
-}
 
 TEST(EnumStringsTest, RunStatusNames) {
   EXPECT_STREQ(RunStatusToString(RunStatus::kCompleted), "completed");

@@ -4,7 +4,6 @@
 
 #include <vector>
 
-#include "wt/hw/limpware.h"
 #include "wt/hw/network.h"
 
 namespace wt {
@@ -136,8 +135,8 @@ TEST(NetworkTest, CancelledFlowNeverCompletes) {
 
 TEST(NetworkTest, LimpingNicThrottlesFlow) {
   NetFixture f;
-  LimpwareInjector injector(&f.sim, &f.dc, &f.net);
-  injector.Apply(f.dc.node(1).nic, 0.1);  // node 1 NIC at 10%
+  f.dc.component(f.dc.node(1).nic).perf_factor = 0.1;  // node 1 NIC at 10%
+  f.net.RefreshCapacities();
   double done_at = -1;
   f.net.StartFlow(0, 1, 125e6,
                   [&](FlowId, SimTime t) { done_at = t.seconds(); });
@@ -152,12 +151,28 @@ TEST(NetworkTest, MidFlightDegradeSlowsRemainder) {
                   [&](FlowId, SimTime t) { done_at = t.seconds(); });
   // After 0.5 s (half transferred), degrade the source NIC to 50%.
   f.sim.Schedule(SimTime::Seconds(0.5), [&] {
-    LimpwareInjector injector(&f.sim, &f.dc, &f.net);
-    injector.Apply(f.dc.node(0).nic, 0.5);
+    f.dc.component(f.dc.node(0).nic).perf_factor = 0.5;
+    f.net.RefreshCapacities();
   });
   f.sim.Run();
   // Remaining 62.5 MB at 62.5 MB/s = 1 s; total 1.5 s.
   EXPECT_NEAR(done_at, 1.5, 1e-6);
+}
+
+TEST(NetworkTest, SwitchDegradationAffectsWholeRack) {
+  Simulator sim;
+  DatacenterConfig cfg;
+  cfg.num_racks = 2;
+  cfg.nodes_per_rack = 2;
+  Datacenter dc(cfg);
+  Network net(&sim, &dc);
+  double before = net.NodeEgressCapacity(0);
+  dc.component(dc.rack(0).tor).perf_factor = 0.5;
+  net.RefreshCapacities();
+  EXPECT_DOUBLE_EQ(net.NodeEgressCapacity(0), before * 0.5);
+  EXPECT_DOUBLE_EQ(net.NodeEgressCapacity(1), before * 0.5);
+  // Other rack untouched.
+  EXPECT_DOUBLE_EQ(net.NodeEgressCapacity(2), before);
 }
 
 TEST(NetworkTest, FailedNodeStallsFlowUntilRepair) {

@@ -8,8 +8,8 @@
 #include <filesystem>
 #include <string>
 
+#include "wt/common/json.h"
 #include "wt/core/wind_tunnel.h"
-#include "wt/obs/json_lint.h"
 #include "wt/obs/manifest.h"
 #include "wt/store/persistence.h"
 
@@ -36,11 +36,23 @@ TEST(ObsManifestTest, CollectFillsHostAndToolchainFacts) {
 TEST(ObsManifestTest, JsonRenderingIsValid) {
   obs::RunManifest m = obs::CollectRunManifest(7, "beef");
   m.wall_seconds = 1.25;
-  std::string json = obs::ManifestToJson(m);
-  Status valid = obs::ValidateJson(json);
-  EXPECT_TRUE(valid.ok()) << valid.ToString() << "\n" << json;
-  EXPECT_NE(json.find("\"seed\": 7"), std::string::npos);
-  EXPECT_NE(json.find("\"config_hash\": \"beef\""), std::string::npos);
+  // Host strings come from outside the program (gethostname,
+  // /proc/cpuinfo), so they must survive quoting whatever they contain.
+  obs::RunManifest hostile = m;
+  hostile.hostname = "rack\"7\\a\tb";
+  hostile.cpu_model = "Xeon \"E5\" \\ @\x01 2.6GHz\n";
+  for (const obs::RunManifest& in : {m, hostile}) {
+    const std::string text = obs::ManifestToJson(in);
+    Result<json::JsonValue> parsed = json::ParseJson(text);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString() << "\n" << text;
+    EXPECT_NE(text.find("\"seed\": 7"), std::string::npos);
+    EXPECT_NE(text.find("\"config_hash\": \"beef\""), std::string::npos);
+    const json::JsonValue& doc = parsed.value();
+    ASSERT_NE(doc.Find("hostname"), nullptr);
+    ASSERT_NE(doc.Find("cpu_model"), nullptr);
+    EXPECT_EQ(doc.Find("hostname")->AsString(), in.hostname);
+    EXPECT_EQ(doc.Find("cpu_model")->AsString(), in.cpu_model);
+  }
 }
 
 TEST(ObsManifestTest, StoreRoundTripThroughDisk) {

@@ -7,8 +7,8 @@
 #include <string>
 #include <vector>
 
+#include "wt/common/json.h"
 #include "wt/core/orchestrator.h"
-#include "wt/obs/json_lint.h"
 #include "wt/obs/metrics.h"
 #include "wt/sim/simulator.h"
 
@@ -122,7 +122,7 @@ TEST(ObsMetricsTest, SnapshotJsonIsValidAndSorted) {
   obs::MetricsSnapshot snap = reg.Snapshot();
   reg.set_enabled(false);
 
-  Status valid = obs::ValidateJson(snap.ToJson());
+  Status valid = json::ParseJson(snap.ToJson()).status();
   EXPECT_TRUE(valid.ok()) << valid.ToString();
   EXPECT_FALSE(snap.ToText().empty());
 

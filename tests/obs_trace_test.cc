@@ -11,8 +11,8 @@
 #include <sstream>
 #include <string>
 
+#include "wt/common/json.h"
 #include "wt/core/orchestrator.h"
-#include "wt/obs/json_lint.h"
 #include "wt/obs/obs.h"
 #include "wt/sim/simulator.h"
 
@@ -88,7 +88,7 @@ TEST(ObsTraceTest, SweepTraceIsValidChromeJsonWithExpectedTracks) {
   t.Stop();
 
   std::string json = t.ToJson();
-  Status valid = obs::ValidateJson(json);
+  Status valid = json::ParseJson(json).status();
   ASSERT_TRUE(valid.ok()) << valid.ToString();
 
   // The acceptance tracks: sweep + per-run spans from the orchestrator,
@@ -133,7 +133,7 @@ TEST(ObsTraceTest, PrunedInstantAppearsInTrace) {
   t.Stop();
   ASSERT_TRUE(records.ok()) << records.status().ToString();
   std::string json = t.ToJson();
-  Status valid = obs::ValidateJson(json);
+  Status valid = json::ParseJson(json).status();
   ASSERT_TRUE(valid.ok()) << valid.ToString();
   EXPECT_NE(json.find("\"name\": \"pruned\""), std::string::npos);
   EXPECT_NE(json.find("\"name\": \"wavefront\""), std::string::npos);
@@ -151,7 +151,7 @@ TEST(ObsTraceTest, FullBufferDropsNewestAndCounts) {
   t.Stop();
   EXPECT_EQ(t.dropped(), 100 - 16);
   std::string json = t.ToJson();
-  Status valid = obs::ValidateJson(json);
+  Status valid = json::ParseJson(json).status();
   EXPECT_TRUE(valid.ok()) << valid.ToString();
   EXPECT_NE(json.find("\"dropped\""), std::string::npos);
 }
@@ -186,9 +186,9 @@ TEST(ObsTraceTest, EnvObsSessionWritesBothFiles) {
   std::string metrics_json = ReadFile(metrics_path);
   ASSERT_FALSE(trace_json.empty());
   ASSERT_FALSE(metrics_json.empty());
-  Status trace_ok = obs::ValidateJson(trace_json);
+  Status trace_ok = json::ParseJson(trace_json).status();
   EXPECT_TRUE(trace_ok.ok()) << trace_ok.ToString();
-  Status metrics_ok = obs::ValidateJson(metrics_json);
+  Status metrics_ok = json::ParseJson(metrics_json).status();
   EXPECT_TRUE(metrics_ok.ok()) << metrics_ok.ToString();
   EXPECT_NE(metrics_json.find("sim.events"), std::string::npos);
   std::remove(trace_path.c_str());

@@ -3,8 +3,8 @@
 // tests/wtlint_fixtures/ and are fed to the analyzer under *virtual* paths
 // (a fixture "is" a hot file because the test says so), which keeps the
 // rule config under test identical to the one the CI gate uses. The full
-// JSON report is diffed against a golden and re-validated with
-// wt::obs::ValidateJson.
+// JSON report is diffed against a golden and read back with
+// wt::json::ParseJson.
 
 #include <cstdlib>
 #include <fstream>
@@ -17,8 +17,8 @@
 
 #include "tools/wtlint/lexer.h"
 #include "tools/wtlint/rules.h"
+#include "wt/common/json.h"
 #include "wt/core/thread_pool.h"
-#include "wt/obs/json_lint.h"
 
 namespace wt {
 namespace wtlint {
@@ -325,7 +325,7 @@ TEST(WtlintRules, DeterminismAllowlistIsScopedToOneFile) {
 TEST(WtlintRules, GoldenJsonReport) {
   AnalysisResult r = AnalyzeAll();
   const std::string actual = ResultToJson(r);
-  ASSERT_TRUE(obs::ValidateJson(actual).ok())
+  ASSERT_TRUE(json::ParseJson(actual).status().ok())
       << "report is not strict JSON:\n"
       << actual;
   if (std::getenv("WTLINT_REGEN_GOLDEN") != nullptr) {

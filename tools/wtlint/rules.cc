@@ -7,6 +7,7 @@
 #include <string_view>
 
 #include "tools/wtlint/lexer.h"
+#include "wt/common/json.h"
 #include "wt/common/string_util.h"
 #include "wt/core/thread_pool.h"
 
@@ -196,7 +197,7 @@ void CheckHotPath(const FileCtx& ctx) {
           ctx.Add(kIostream, t.line,
                   std::string(banned) +
                       " in a hot file: stream formatting allocates and "
-                      "locks; use logging.h or report via wt::obs");
+                      "locks; report via wt::obs");
         }
       }
       continue;
@@ -224,7 +225,7 @@ void CheckHotPath(const FileCtx& ctx) {
     if ((t.text == "cout" || t.text == "cerr" || t.text == "clog") && i >= 2 &&
         IsPunct(toks[i - 1], "::") && IsIdent(toks[i - 2], "std")) {
       ctx.Add(kIostream, t.line,
-              "std::" + t.text + " in a hot file: use logging.h or wt::obs");
+              "std::" + t.text + " in a hot file: report via wt::obs");
     }
   }
 }
@@ -848,22 +849,6 @@ void ApplySuppressions(const FileCtx& ctx, std::vector<Finding>* findings) {
   }
 }
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out += StrFormat("\\u%04x", c);
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
 // Runs body(i) for i in [0, n) — on the pool when provided, else inline.
 // Bodies write only to per-index slots, so scheduling cannot reorder
 // results.
@@ -988,10 +973,9 @@ std::string ResultToJson(const AnalysisResult& result) {
     out += first ? "\n" : ",\n";
     first = false;
     out += StrFormat(
-        "    {\"rule\": \"%s\", \"file\": \"%s\", \"line\": %d, "
-        "\"message\": \"%s\"}",
-        JsonEscape(f.rule).c_str(), JsonEscape(f.file).c_str(), f.line,
-        JsonEscape(f.message).c_str());
+        "    {\"rule\": %s, \"file\": %s, \"line\": %d, \"message\": %s}",
+        json::Quote(f.rule).c_str(), json::Quote(f.file).c_str(), f.line,
+        json::Quote(f.message).c_str());
   }
   out += first ? "],\n" : "\n  ],\n";
   out += "  \"suppressions\": [";
@@ -1001,10 +985,9 @@ std::string ResultToJson(const AnalysisResult& result) {
     out += first ? "\n" : ",\n";
     first = false;
     out += StrFormat(
-        "    {\"rule\": \"%s\", \"file\": \"%s\", \"line\": %d, "
-        "\"reason\": \"%s\"}",
-        JsonEscape(f.rule).c_str(), JsonEscape(f.file).c_str(), f.line,
-        JsonEscape(f.suppress_reason).c_str());
+        "    {\"rule\": %s, \"file\": %s, \"line\": %d, \"reason\": %s}",
+        json::Quote(f.rule).c_str(), json::Quote(f.file).c_str(), f.line,
+        json::Quote(f.suppress_reason).c_str());
   }
   out += first ? "]\n" : "\n  ]\n";
   out += "}\n";

@@ -13,7 +13,7 @@
 //
 //   --root <dir>      repo root for path-relative rule config (default: .)
 //   --json            emit the strict-JSON report (self-checked against
-//                     wt::obs::ValidateJson before printing):
+//                     wt::json::ParseJson before printing):
 //                       { "tool": "wtlint", "version": 2,
 //                         "files_scanned": N, "unsuppressed": N,
 //                         "suppressed": N,
@@ -52,9 +52,9 @@
 #include <vector>
 
 #include "tools/wtlint/rules.h"
+#include "wt/common/json.h"
 #include "wt/common/string_util.h"
 #include "wt/core/thread_pool.h"
-#include "wt/obs/json_lint.h"
 
 namespace fs = std::filesystem;
 
@@ -263,7 +263,7 @@ int main(int argc, char** argv) {
     const std::string report = wt::wtlint::ResultToJson(result);
     // The report is itself an artifact; hold it to the same bar as the
     // trace/metrics exporters.
-    const wt::Status valid = wt::obs::ValidateJson(report);
+    const wt::Status valid = wt::json::ParseJson(report).status();
     if (!valid.ok()) {
       std::fprintf(stderr, "wtlint: internal error: report is not valid "
                            "JSON: %s\n",
